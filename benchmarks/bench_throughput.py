@@ -358,7 +358,7 @@ def _ingest_layers(
     def pbe1_oracle():
         import repro.core.pbe1 as pbe1_mod
 
-        def cht(xs, ys, eta, use_numba=None):
+        def cht(xs, ys, eta):
             return pbe1_mod.approximate_staircase_cht(xs, ys, eta)
 
         saved = pbe1_mod.approximate_staircase

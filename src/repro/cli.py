@@ -11,8 +11,9 @@ ingest (alias: build)
     store, only the ingest speed.  ``--backend`` picks any registered
     store backend (``exact``, ``cm-pbe-1``, ``cm-pbe-2``, ``direct``,
     ``index``) and ``--shards N`` hash-partitions event ids across N
-    copies of it; without ``--backend`` the default CM-PBE path writes
-    the legacy v1 blob, byte-identical to previous releases.
+    copies of it; without ``--backend`` the store is the ``--method``
+    backend (``cm-pbe-1`` by default).  Every ingest writes the
+    versioned envelope.
     ``--durable DIR`` ingests through the write-ahead-logged durable
     lifecycle instead: every acknowledged batch is crash-recoverable
     from DIR (``repro recover``), ``--resume`` continues a previous
@@ -27,8 +28,8 @@ rebalance
     record is streamed through the Fibonacci shard hash into M fresh
     shard directories, committed by a crash-safe journal swap.
 query
-    Answer point / bursty-time queries from a serialized store (either
-    the versioned envelope or a legacy v1 blob).
+    Answer point / bursty-time queries from a serialized store (the
+    versioned envelope; legacy v1 blobs stay readable).
 inspect
     Print a sketch's or stream's vital statistics.
 stats
@@ -58,7 +59,6 @@ import logging
 import sys
 from pathlib import Path
 
-from repro.core.cmpbe import CMPBE
 from repro.core.compaction import (
     DEFAULT_COMPACT_FANIN,
     DEFAULT_COMPACT_MIN_SEGMENTS,
@@ -87,7 +87,6 @@ from repro.core.metrics import (
 from repro.core.serialize import (
     ENVELOPE_MAGIC,
     atomic_write_bytes,
-    dump_cmpbe,
     load_store,
     save_store,
     write_store,
@@ -266,8 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
         ingest.add_argument(
             "--backend",
             choices=["exact", "cm-pbe-1", "cm-pbe-2", "direct", "index"],
-            help="store backend from the registry; omit for the legacy "
-            "CM-PBE blob (bit-identical to previous releases)",
+            help="store backend from the registry (default: the "
+            "--method backend)",
         )
         ingest.add_argument(
             "--shards",
@@ -794,40 +793,6 @@ def _cmd_build(args: argparse.Namespace) -> int:
         return 2
     if args.durable is not None:
         return _ingest_durable(args)
-    if args.backend is None and not args.shards:
-        # Legacy path: a bare CM-PBE serialized as the v1 blob.  Kept
-        # verbatim so existing archives and golden outputs stay
-        # bit-identical.
-        if args.method == "cm-pbe-1":
-            sketch = CMPBE.with_pbe1(
-                eta=args.eta,
-                width=args.width,
-                depth=args.depth,
-                buffer_size=args.buffer_size,
-                seed=args.seed,
-            )
-        else:
-            sketch = CMPBE.with_pbe2(
-                gamma=args.gamma,
-                width=args.width,
-                depth=args.depth,
-                seed=args.seed,
-            )
-        for event_ids, timestamps in iter_record_batches(
-            args.stream, args.batch_size
-        ):
-            sketch.extend_batch(event_ids, timestamps)
-        sketch.finalize()  # dumps no longer fold the live sketch in place
-        payload = dump_cmpbe(sketch)
-        atomic_write_bytes(args.out, payload)
-        print(
-            f"ingested {sketch.count} mentions -> {args.method} sketch, "
-            f"{len(payload)} bytes on disk "
-            f"({sketch.size_in_bytes()} logical) -> {args.out}"
-        )
-        if args.metrics_json is not None:
-            _write_metrics_json(args.metrics_json)
-        return 0
     if args.backend is None:
         args.backend = args.method
     cfg = _backend_config(args)
@@ -893,8 +858,27 @@ def _read_query_batch(path: Path) -> tuple[list[int], list[float]]:
     return event_ids, times
 
 
+def _read_artifact(path: Path) -> bytes | None:
+    """The bytes of a serialized store or stream file.
+
+    A directory (a durable store) cannot be read as one file: print a
+    one-line error naming the command that can, and return ``None``.
+    """
+    if path.is_dir():
+        print(
+            f"error: {path} is a directory; a durable store is opened "
+            f"with 'repro recover {path}'",
+            file=sys.stderr,
+        )
+        return None
+    return path.read_bytes()
+
+
 def _cmd_query(args: argparse.Namespace) -> int:
-    store = load_store(args.sketch.read_bytes())
+    data = _read_artifact(args.sketch)
+    if data is None:
+        return 2
+    store = load_store(data)
     instrumented = None
     if args.metrics_json is not None:
         if isinstance(store, InstrumentedStore):
@@ -956,7 +940,9 @@ def _run_query(args: argparse.Namespace, store) -> int:
 
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
-    data = args.path.read_bytes()
+    data = _read_artifact(args.path)
+    if data is None:
+        return 2
     if data[:4] == b"CMPB":
         sketch = load_store(data).inner
         print(
@@ -1076,7 +1062,10 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     from repro.eval.validation import validate_sketch
 
-    sketch = load_store(args.sketch.read_bytes())
+    data = _read_artifact(args.sketch)
+    if data is None:
+        return 2
+    sketch = load_store(data)
     stream = _read_stream(args.stream)
     report = validate_sketch(
         sketch, stream, tau=args.tau, n_times=args.times

@@ -9,9 +9,10 @@ an explicit lifecycle, the shape Hokusai-style segment stores use:
   first — an acknowledged append survives a process kill — then applied
   to an in-memory *memtable* (any registered child backend);
 * once the memtable holds ``seal_elements`` stream elements it is
-  **sealed**: finalized, frozen into an immutable v3 envelope segment
-  file (:func:`~repro.core.serialize.save_store` written atomically),
-  the WAL is rotated, and the manifest commits the new segment list;
+  **sealed**: finalized and the WAL rotated (the *freeze* half), then
+  frozen into an immutable v3 envelope segment file
+  (:func:`~repro.core.serialize.save_store` written atomically) whose
+  name the manifest commits (the *commit* half);
 * **reads** fan across the sealed segments (opened lazily via
   :func:`~repro.core.serialize.open_store`) plus a snapshot of the live
   memtable, folded with the backend's own ``merge`` — the §III-A
@@ -25,12 +26,17 @@ recovery, every query answers bit-identically to an
 :class:`~repro.baselines.exact.ExactBurstStore` fed the same prefix of
 acknowledged events.
 
-Crash-window analysis for the seal sequence (segment file → new WAL →
-manifest → old-WAL delete, every file write atomic-rename + fsync):
+Crash-window analysis for the seal sequence (new WAL → segment file →
+manifest → old-WAL delete, every file write atomic-rename + fsync).
+There is exactly one sequence: an inline seal runs the freeze half
+(:meth:`DurableBurstStore._freeze_locked`) and the commit half
+(:meth:`DurableBurstStore._complete_seal`) back to back on the calling
+thread; background sealing hands the commit half to a seal thread.
 
-* crash before the manifest commit — the old manifest still pairs the
-  old WAL, which contains every sealed record; replay covers the
-  orphaned segment/WAL files, and the next seal overwrites them;
+* crash before the manifest commit — the committed manifest's
+  ``live_wals`` still name the old WAL, which contains every sealed
+  record; replay covers the orphaned segment/WAL files, which recovery
+  sweeps and the next seal overwrites;
 * crash after the manifest commit — the new manifest pairs the new
   (possibly still missing, hence empty) WAL; a leftover old WAL is
   ignored and cleaned up on the next recovery;
@@ -48,9 +54,12 @@ moves the expensive half of a seal — segment serialization, atomic
 write, fsync — off the ingest hot path, the deamortization move the
 Online Event-Detection Problem paper argues turns worst-case stalls
 into steady throughput.  The hot path only *freezes* the memtable
-(finalize, rotate the WAL, enqueue) and keeps appending into a fresh
-generation; a dedicated seal thread drains the queue performing
-segment-write → manifest-commit → old-WAL-delete.  At most
+(finalize, rotate the WAL, enqueue, and commit a manifest whose
+``live_wals`` name the frozen generation's logs) and keeps appending
+into a fresh generation; a dedicated seal thread drains the queue
+running the commit half.  Only this path writes the freeze-time
+manifest: an inline seal appends nothing between its halves, so it
+keeps two atomic writes per seal, segment then manifest.  At most
 ``max_unsealed`` frozen generations may be in flight: beyond that,
 ingest *blocks* (never drops) until the seal thread catches up.  The
 manifest's ``live_wals`` list names every WAL still backing unsealed
@@ -717,12 +726,12 @@ class DurableBurstStore(_StoreBase):
     def seal(self) -> None:
         """Seal the live memtable into an immutable segment.
 
-        No-op on an empty memtable.  Durable mode writes the segment
-        atomically, rotates the WAL and commits the manifest before
-        deleting the old log, so a crash at any instant loses nothing.
-        Under ``background_seal`` this only *freezes* the memtable and
-        enqueues it — call :meth:`drain_seals` to wait for the segment
-        commit itself.
+        No-op on an empty memtable.  Durable mode rotates the WAL, writes
+        the segment atomically and commits the manifest before deleting
+        the old log, so a crash at any instant loses nothing.  Under
+        ``background_seal`` this only *freezes* the memtable and enqueues
+        it — call :meth:`drain_seals` to wait for the segment commit
+        itself.
         """
         with self._lock:
             self._check_writable()
@@ -731,59 +740,32 @@ class DurableBurstStore(_StoreBase):
     def _seal_locked(self) -> None:
         if self._memtable_elements == 0:
             return
-        if self.background_seal:
-            self._freeze_locked()
-            return
-        with self._seal_seconds.time():
-            self._memtable.finalize()
-            if self.directory is None:
+        if self.directory is None:
+            with self._seal_seconds.time():
+                self._memtable.finalize()
                 self._segments.append(self._memtable)
-            else:
-                name = f"segment-{self._next_segment:06d}.beds"
-                path = os.path.join(self.directory, name)
-                with self._span(
-                    "seal.segment_write",
-                    segment=name,
-                    elements=self._memtable_elements,
-                ):
-                    written = atomic_write_bytes(
-                        path,
-                        save_store(self._memtable),
-                        fsync=self.fsync_policy != "never",
-                    )
-                self._segment_bytes_sealed += written
-                self._segment_bytes_total.inc(written)
-                new_seq = self._wal_seq + 1
-                new_wal = self._open_wal(new_seq, truncate=True)
-                old_wal = self._wal
-                old_seqs = list(self._memtable_wal_seqs)
-                self._next_segment += 1
-                self._segments.append(open_store(path, lazy=True))
-                self._segment_names.append(name)
-                self._wal, self._wal_seq = new_wal, new_seq
-                self._memtable_wal_seqs = [new_seq]
-                with self._span("manifest.commit", segment=name):
-                    self._write_manifest()
-                if old_wal is not None:
-                    old_wal.close()
-                for seq in old_seqs:
-                    try:
-                        os.unlink(self._wal_path(seq))
-                    except OSError:
-                        pass
-            self._memtable = create_store(
-                self.child_backend, **self.child_cfg
-            )
-            self._memtable_elements = 0
-        self._seals_total.inc()
-        self._segment_gauge.set(len(self._segments))
-        self._version += 1
-        if self.directory is not None and self._compactor is not None:
-            self._compactor.notify()
+                self._memtable = create_store(
+                    self.child_backend, **self.child_cfg
+                )
+                self._memtable_elements = 0
+            self._seals_total.inc()
+            self._segment_gauge.set(len(self._segments))
+            self._version += 1
+            return
+        job = self._freeze_locked()
+        if not self.background_seal:
+            try:
+                self._complete_seal(job)
+            except BaseException as exc:
+                # The WAL already rotated past the committed manifest, so
+                # appending on would log records no recovery replays:
+                # poison the writer exactly like a failed background seal.
+                self._seal_error = exc
+                raise
 
-    def _freeze_locked(self) -> None:
-        """Hot-path half of a background seal: finalize the memtable,
-        rotate the WAL, enqueue the frozen generation, keep appending.
+    def _freeze_locked(self) -> _PendingSeal:
+        """Hot-path half of a seal: finalize the memtable, rotate the
+        WAL, enqueue the frozen generation, keep appending.
 
         Blocks (never drops) while ``max_unsealed`` generations are
         already in flight — that is the backpressure contract.
@@ -828,19 +810,23 @@ class DurableBurstStore(_StoreBase):
                 self.child_backend, **self.child_cfg
             )
             self._memtable_elements = 0
-            # The manifest now lists the frozen generation's logs in
-            # live_wals: a crash before the segment commit replays them.
-            # Fsync only under "always" — this is the append hot path,
-            # no WAL deletion depends on this write, and "batch"/
-            # "never" already accept a power-loss window for unsealed
-            # records.
-            with self._span("manifest.commit", segment=name):
-                self._write_manifest(
-                    durable=self.fsync_policy == "always"
-                )
+            if self.background_seal:
+                # The manifest now lists the frozen generation's logs in
+                # live_wals: a crash before the segment commit replays
+                # them.  Fsync only under "always" — this is the append
+                # hot path, no WAL deletion depends on this write, and
+                # "batch"/"never" already accept a power-loss window for
+                # unsealed records.  An inline seal skips the write: the
+                # committed manifest still names the old logs, and the
+                # new log holds nothing until the commit half returns.
+                with self._span("manifest.commit", segment=name):
+                    self._write_manifest(
+                        durable=self.fsync_policy == "always"
+                    )
         self._version += 1
         self._update_seal_gauges_locked()
         self._seal_cv.notify_all()
+        return job
 
     def _seal_worker(self) -> None:
         while True:
@@ -866,11 +852,14 @@ class DurableBurstStore(_StoreBase):
                 return
 
     def _complete_seal(self, job: _PendingSeal) -> None:
-        """Seal-thread half: segment write → manifest commit → WAL GC.
+        """Commit half of a seal: segment write → manifest commit → WAL GC.
 
-        The expensive serialization and fsync run *outside* the store
-        lock (the frozen memtable is immutable); only the commit that
-        publishes the segment and retires the job's WALs takes it.
+        Runs on the seal thread under ``background_seal`` and on the
+        calling thread (which holds the store lock) otherwise.  On the
+        seal thread the expensive serialization and fsync run *outside*
+        the store lock (the frozen memtable is immutable); only the
+        commit that publishes the segment and retires the job's WALs
+        takes it.
         """
         # The seal thread has no ambient span context (ContextVars do
         # not cross threads), so the freeze-time context captured in
@@ -931,8 +920,9 @@ class DurableBurstStore(_StoreBase):
 
     def _raise_seal_error(self) -> None:
         if self._seal_error is not None:
+            kind = "background seal" if self.background_seal else "seal"
             raise SerializationError(
-                f"background seal failed: {self._seal_error!r}; the "
+                f"{kind} failed: {self._seal_error!r}; the "
                 "records are still WAL-backed — recover() the directory"
             ) from self._seal_error
 
@@ -1004,7 +994,7 @@ class DurableBurstStore(_StoreBase):
         Queries keep working on the already-ingested data; further
         appends raise.
 
-        If a background seal failed, close still succeeds — the frozen
+        If a seal failed, close still succeeds — the frozen
         records remain WAL-backed and the manifest's live_wals covers
         them, so :func:`recover` replays them losslessly.
         """
@@ -1026,6 +1016,10 @@ class DurableBurstStore(_StoreBase):
             # finishes its commit (or its cleanup) and the thread exits.
             self._compactor.stop()
         with self._lock:
+            # A failed seal leaves its job queued with the old log open.
+            for job in self._pending:
+                if job.old_wal is not None:
+                    job.old_wal.close()
             if self._wal is not None:
                 self._wal.close()
 

@@ -33,13 +33,10 @@ evaluations but runs as a handful of array ops per stage instead of a
 Python loop per corner.  The historical monotone convex-hull-trick layer
 evaluator is kept as :func:`approximate_staircase_cht` and the naive DP as
 :func:`approximate_staircase_bruteforce` — both serve as cross-check
-oracles for tests.  An opt-in numba kernel (``REPRO_NUMBA=1`` or
-``use_numba=True``) compiles the same candidate formula as a tight scalar
-loop; it is bit-identical to the numpy path on exact-arithmetic inputs
-(integer/dyadic timestamps and counts) because every path associates the
-floating-point candidate expression identically:
-``cand(i, j) = (-y_i * x_j) + B_i`` with ``B_i = E_{k-1}[i] - A_i`` and
-``A_i = CW_i + (-y_i * x_i)``, adding ``CW_j`` only after the minimum.
+oracles for tests.  The sweep associates the floating-point candidate
+expression as ``cand(i, j) = (-y_i * x_j) + B_i`` with
+``B_i = E_{k-1}[i] - A_i`` and ``A_i = CW_i + (-y_i * x_i)``, adding
+``CW_j`` only after the minimum.
 
 **Streaming.**  :class:`PBE1` buffers incoming elements until the exact
 curve of the current buffer reaches ``buffer_size`` corners, compresses the
@@ -55,7 +52,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.accel import numba_available, resolve_use_numba
 from repro.core.errors import (
     EmptySketchError,
     InvalidParameterError,
@@ -73,7 +69,6 @@ __all__ = [
     "approximate_staircase",
     "approximate_staircase_bruteforce",
     "approximate_staircase_cht",
-    "numba_available",
     "smallest_eta_for_error",
 ]
 
@@ -132,24 +127,17 @@ def approximate_staircase(
     xs: np.ndarray,
     ys: np.ndarray,
     eta: int,
-    use_numba: bool | None = None,
 ) -> StaircaseApproximation:
     """Optimal ``eta``-corner staircase approximation (vectorized DP).
 
     Returns the selected corner indices (always containing ``0`` and
-    ``n - 1``) and the minimal area error.  ``use_numba=True`` (or the
-    ``REPRO_NUMBA=1`` environment flag) routes through the compiled
-    scalar kernel when numba is installed; the numpy refinement sweep is
-    the default and the fallback.
+    ``n - 1``) and the minimal area error.
     """
     xs, ys, trivial = _validated(xs, ys, eta)
     if trivial is not None:
         return trivial
     cw = _gap_cost_table(xs, ys)
     budget = min(int(eta), xs.size)
-    if resolve_use_numba(use_numba):
-        error, selected = _numba_kernel()(xs, ys, cw, budget)
-        return StaircaseApproximation(selected, float(error))
     error, selected = _refine_staircase(xs, ys, cw, budget)
     return StaircaseApproximation(selected, float(error))
 
@@ -309,73 +297,6 @@ def _refine_staircase(
     return float(prev[n - 1]), selected
 
 
-# ----------------------------------------------------------------------
-# Scalar kernel (numba fast path + always-on parity oracle)
-# ----------------------------------------------------------------------
-def _staircase_dp_kernel(
-    xs: np.ndarray, ys: np.ndarray, cw: np.ndarray, budget: int
-) -> tuple[float, np.ndarray]:
-    """The refinement DP as a plain scalar loop, numba-compilable as-is.
-
-    Uses the exact floating-point association of the numpy sweep
-    (``(-y_i * x_j) + B_i`` then ``+ CW_j`` after the minimum) with
-    leftmost argmins, so on exact-arithmetic inputs the compiled kernel,
-    this interpreted mirror and the numpy path agree bit-for-bit.
-    """
-    n = xs.shape[0]
-    inf = np.inf
-    A = np.empty(n)
-    nys = np.empty(n)
-    for i in range(n):
-        nys[i] = -ys[i]
-        A[i] = cw[i] + nys[i] * xs[i]
-    prev = np.full(n, inf)
-    prev[0] = 0.0
-    cur = np.empty(n)
-    args = np.zeros((budget - 1, n), dtype=np.int64)
-    for k in range(budget - 1):
-        for j in range(n):
-            best = inf
-            best_i = 0
-            for i in range(k, j):
-                if prev[i] == inf:
-                    continue
-                cand = nys[i] * xs[j] + (prev[i] - A[i])
-                if cand < best:
-                    best = cand
-                    best_i = i
-            if best == inf:
-                cur[j] = inf
-                args[k, j] = 0
-            else:
-                cur[j] = best + cw[j]
-                args[k, j] = best_i
-        for j in range(n):
-            prev[j] = cur[j]
-    selected = np.empty(budget, dtype=np.int64)
-    j = n - 1
-    selected[budget - 1] = j
-    for k in range(budget - 2, -1, -1):
-        j = args[k, j]
-        selected[k] = j
-    return prev[n - 1], selected
-
-
-_NUMBA_COMPILED = None
-
-
-def _numba_kernel():
-    """Lazily njit-compile the scalar kernel (numba import deferred)."""
-    global _NUMBA_COMPILED
-    if _NUMBA_COMPILED is None:
-        import numba
-
-        _NUMBA_COMPILED = numba.njit(cache=True, fastmath=False)(
-            _staircase_dp_kernel
-        )
-    return _NUMBA_COMPILED
-
-
 def approximate_staircase_cht(
     xs: np.ndarray, ys: np.ndarray, eta: int
 ) -> StaircaseApproximation:
@@ -532,19 +453,9 @@ class PBE1:
     buffer_size:
         Corners of the exact curve buffered before compression (the paper's
         ``n``; defaults to the paper's experimental value 1500).
-    use_numba:
-        Route buffer compression through the compiled numba kernel.
-        ``None`` (default) defers to the ``REPRO_NUMBA`` environment flag;
-        either way the numpy path is used when numba is not installed.
-        Runtime-only knob — never serialized, never affects results.
     """
 
-    def __init__(
-        self,
-        eta: int,
-        buffer_size: int = 1500,
-        use_numba: bool | None = None,
-    ) -> None:
+    def __init__(self, eta: int, buffer_size: int = 1500) -> None:
         if eta < 2:
             raise InvalidParameterError(f"eta must be >= 2, got {eta}")
         if buffer_size < 2:
@@ -553,7 +464,6 @@ class PBE1:
             )
         self.eta = eta
         self.buffer_size = buffer_size
-        self.use_numba = use_numba
         self._kept_xs: list[float] = []
         self._kept_ys: list[float] = []
         self._buffer_xs: list[float] = []
@@ -694,9 +604,7 @@ class PBE1:
     def _compress_buffer(self) -> None:
         xs = np.asarray(self._buffer_xs)
         ys = np.asarray(self._buffer_ys)
-        result = approximate_staircase(
-            xs, ys, self.eta, use_numba=self.use_numba
-        )
+        result = approximate_staircase(xs, ys, self.eta)
         self._construction_error += result.error
         self._kept_xs.extend(xs[result.selected].tolist())
         self._kept_ys.extend(ys[result.selected].tolist())

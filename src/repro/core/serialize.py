@@ -320,11 +320,7 @@ def _folded_pbe1(sketch: PBE1) -> PBE1:
     boundaries, so a concurrent reader snapshot would silently change
     the writer's eventual curve (and any segment later sealed from it).
     """
-    scratch = PBE1(
-        eta=sketch.eta,
-        buffer_size=sketch.buffer_size,
-        use_numba=sketch.use_numba,
-    )
+    scratch = PBE1(eta=sketch.eta, buffer_size=sketch.buffer_size)
     scratch._kept_xs = list(sketch._kept_xs)
     scratch._kept_ys = list(sketch._kept_ys)
     scratch._buffer_xs = list(sketch._buffer_xs)
@@ -407,7 +403,6 @@ def _finalized_pbe2(sketch: PBE2) -> PBE2:
         gamma=sketch.gamma,
         unit=sketch.unit,
         max_polygon_vertices=sketch.max_polygon_vertices,
-        use_numba=sketch.use_numba,
     )
     scratch._segments = list(sketch._segments)
     scratch._segment_starts = list(sketch._segment_starts)

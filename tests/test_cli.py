@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
+from repro.core.serialize import load_store
+from repro.core.store import create_store
+from repro.streams.io import iter_record_batches
 from repro.workloads.profiles import DAY
+
+DATA_DIR = Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -55,10 +62,33 @@ class TestBuild:
             "--buffer-size", "200", "--width", "4", "--depth", "3",
         ])
         assert code == 0
-        assert out.read_bytes()[:4] == b"CMPB"
+        assert out.read_bytes()[:4] == b"BEDS"
 
     def test_reports_sizes(self, sketch_file, capsys):
         assert sketch_file.exists()
+
+    def test_default_method_keeps_universe_size(self, tmp_path, capsys):
+        """Without --backend the store still gets --universe-size, so the
+        paper's bursty-event query works on what ingest wrote."""
+        stream = DATA_DIR / "golden_stream.csv"
+        out = tmp_path / "s.beds"
+        code = main([
+            "ingest", str(stream), "--out", str(out),
+            "--universe-size", "16", "--width", "64",
+        ])
+        assert code == 0
+        store = load_store(out.read_bytes())
+        exact = create_store("exact")
+        for event_ids, timestamps in iter_record_batches(stream, 8192):
+            exact.extend_batch(event_ids, timestamps)
+        answered = 0
+        for t in range(0, 620, 10):
+            for theta in (1.0, 5.0, 20.0):
+                expected = exact.bursty_event_query(float(t), theta, 60.0)
+                got = store.bursty_event_query(float(t), theta, 60.0)
+                assert got == expected, (t, theta)
+                answered += bool(expected)
+        assert answered > 0
 
 
 class TestDurableIngest:
@@ -264,6 +294,23 @@ class TestQuery:
         ])
         assert code == 2
 
+    def test_durable_directory_names_recover(
+        self, tmp_path, stream_file, capsys
+    ):
+        directory = tmp_path / "durable"
+        assert main([
+            "ingest", str(stream_file), "--durable", str(directory),
+        ]) == 0
+        capsys.readouterr()
+        code = main([
+            "query", "point", "--sketch", str(directory),
+            "--event", "0", "--t", str(29 * DAY),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"repro recover {directory}" in err
+
 
 class TestQueryBatchFile:
     PAIRS = [(0, 29 * DAY), (3, 10 * DAY), (0, 30 * DAY), (9999, 5 * DAY)]
@@ -324,9 +371,16 @@ class TestInspect:
         assert main(["inspect", str(stream_file)]) == 0
         assert "event stream" in capsys.readouterr().out
 
-    def test_sketch(self, sketch_file, capsys):
-        assert main(["inspect", str(sketch_file)]) == 0
+    def test_sketch(self, capsys):
+        """Legacy v1 blobs are no longer written but stay readable."""
+        assert main(["inspect", str(DATA_DIR / "v1_cmpbe.bin")]) == 0
         assert "CM-PBE sketch" in capsys.readouterr().out
+
+    def test_directory_names_recover(self, tmp_path, capsys):
+        assert main(["inspect", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"repro recover {tmp_path}" in err
 
 
 class TestExperiment:
@@ -350,6 +404,14 @@ class TestValidateCommand:
         ])
         assert code == 0
         assert "mean abs err" in capsys.readouterr().out
+
+    def test_directory_names_recover(self, tmp_path, stream_file, capsys):
+        code = main([
+            "validate", "--sketch", str(tmp_path),
+            "--stream", str(stream_file),
+        ])
+        assert code == 2
+        assert f"repro recover {tmp_path}" in capsys.readouterr().err
 
 
 class TestReportCommand:

@@ -4,7 +4,9 @@
 The scenario ingests a deterministic stream through the single-process
 durable lifecycle with inline sealing, so the set of spans — names and
 counts: ``wal.append``/``wal.fsync`` per append/sync point,
-``seal.segment_write``/``manifest.commit`` per seal, one
+``memtable.freeze``/``seal.queue_wait``/``seal.segment_write``/
+``manifest.commit`` per seal (the one seal sequence, both halves run
+on the calling thread), one
 ``durable.apply_batch`` per CLI batch, one ``ingest`` root — is exact
 run to run; only the measured durations vary and are normalized to
 ``<T>``.  The transcript is frozen under ``tests/golden/trace.txt``.

@@ -30,6 +30,7 @@ from hypothesis import strategies as st
 import repro.core.durable as durable_mod
 import repro.core.serialize as serialize_mod
 from repro.core.durable import create_durable, recover
+from repro.core.errors import SerializationError
 from repro.core.serialize import (
     atomic_write_bytes,
     load_store,
@@ -170,21 +171,27 @@ class _FailingAtomicWrite:
 class TestCrashMidSeal:
     """Kill the seal between its atomic steps; nothing acked may vanish.
 
-    A seal writes the segment (call 1), rotates the WAL, then commits
-    the manifest (call 2).  Crashing on either call must leave the
-    directory recoverable to every record already framed into the WAL.
+    Inline and background sealing run one sequence: the freeze half
+    rotates the WAL, the commit half writes the segment then commits the
+    manifest.  Inline, those are the seal's only atomic writes (calls 1
+    and 2); a background freeze first commits a manifest naming the
+    frozen logs, so its segment and manifest writes are calls 2 and 3.
+    Crashing on either must leave the directory recoverable to every
+    record already framed into the WAL.
     """
 
-    @pytest.mark.parametrize(
-        "fail_on_call", [1, 2], ids=["mid-segment", "mid-manifest"]
-    )
-    def test_seal_crash_is_recoverable(
-        self, tmp_path, monkeypatch, fail_on_call
+    def _crash_mid_seal(
+        self, tmp_path, monkeypatch, fail_on_call, background_seal
     ):
         ids, ts = _stream(64)
         live = tmp_path / "live"
         crashed = tmp_path / "crashed"
-        store = create_durable(live, seal_elements=1000, fsync="never")
+        store = create_durable(
+            live,
+            seal_elements=1000,
+            fsync="never",
+            background_seal=background_seal,
+        )
         acked = 0
         for start in range(0, 64, 8):
             store.extend_batch(ids[start : start + 8], ts[start : start + 8])
@@ -195,11 +202,21 @@ class TestCrashMidSeal:
         # here so the very next seal hits the injected fault.
         failer = _FailingAtomicWrite(fail_on_call)
         monkeypatch.setattr(durable_mod, "atomic_write_bytes", failer)
-        with pytest.raises(_InjectedCrash):
-            store.seal()
+        if background_seal:
+            store.seal()  # the freeze half succeeds on this thread
+            with pytest.raises(SerializationError, match="background seal"):
+                store.drain_seals()
+        else:
+            with pytest.raises(_InjectedCrash):
+                store.seal()
         assert failer.calls == fail_on_call
+        # A failed seal poisons the writer: appending on would log
+        # records past what the committed manifest can replay.
+        with pytest.raises(SerializationError):
+            store.extend_batch(ids[40:48], ts[40:48])
         monkeypatch.undo()
         shutil.copytree(live, crashed)
+        store.close()
         recovered = recover(crashed)
         survived = recovered.count
         assert survived >= acked
@@ -213,6 +230,26 @@ class TestCrashMidSeal:
             again, _oracle(ids[:survived], ts[:survived])
         )
         again.close()
+
+    @pytest.mark.parametrize(
+        "fail_on_call", [1, 2], ids=["mid-segment", "mid-manifest"]
+    )
+    def test_seal_crash_is_recoverable(
+        self, tmp_path, monkeypatch, fail_on_call
+    ):
+        self._crash_mid_seal(
+            tmp_path, monkeypatch, fail_on_call, background_seal=False
+        )
+
+    @pytest.mark.parametrize(
+        "fail_on_call", [2, 3], ids=["mid-segment", "mid-manifest"]
+    )
+    def test_background_seal_crash_is_recoverable(
+        self, tmp_path, monkeypatch, fail_on_call
+    ):
+        self._crash_mid_seal(
+            tmp_path, monkeypatch, fail_on_call, background_seal=True
+        )
 
     def test_mid_batch_seal_crash_keeps_earlier_slices(
         self, tmp_path, monkeypatch

@@ -383,6 +383,15 @@ class TestBackgroundSeal:
             assert (tmp_path / "bg" / name).read_bytes() == (
                 tmp_path / "inline" / name
             ).read_bytes(), name
+        # One seal sequence: both modes commit the same segment list and
+        # leave the same logs backing the unsealed tail.
+        manifests = [
+            json.loads((tmp_path / mode / MANIFEST_NAME).read_text())
+            for mode in ("inline", "bg")
+        ]
+        for key in ("segments", "live_wals"):
+            assert manifests[0][key] == manifests[1][key], key
+        assert manifests[0]["segments"] == bg_segments
         first = recover(tmp_path / "inline")
         second = recover(tmp_path / "bg")
         assert first.count == second.count == 60
@@ -394,6 +403,34 @@ class TestBackgroundSeal:
         )
         first.close()
         second.close()
+
+    def test_inline_seal_writes_segment_then_manifest(
+        self, tmp_path, monkeypatch
+    ):
+        """Inline sealing runs both halves of the background sequence
+        but skips the freeze-time manifest: two atomic writes per seal."""
+        store = create_durable(tmp_path / "s", seal_elements=8, fsync="never")
+        written = []
+        real_write = durable_mod.atomic_write_bytes
+
+        def recording_write(path, data, *, fsync=True):
+            written.append(os.path.basename(path))
+            return real_write(path, data, fsync=fsync)
+
+        monkeypatch.setattr(durable_mod, "atomic_write_bytes", recording_write)
+        ids, ts = _stream(16)
+        store.extend_batch(ids, ts)
+        assert written == [
+            "segment-000000.beds",
+            MANIFEST_NAME,
+            "segment-000001.beds",
+            MANIFEST_NAME,
+        ]
+        assert sorted(
+            name for name in os.listdir(tmp_path / "s")
+            if name.startswith("wal-")
+        ) == ["wal-00000003.log"]
+        store.close()
 
     def test_backpressure_blocks_and_never_drops(
         self, tmp_path, monkeypatch

@@ -11,6 +11,7 @@ from repro.core.errors import InvalidParameterError
 from repro.core.pbe1 import (
     approximate_staircase,
     approximate_staircase_bruteforce,
+    approximate_staircase_cht,
     smallest_eta_for_error,
 )
 from repro.streams.frequency import StaircaseCurve, staircase_area_between
@@ -75,6 +76,43 @@ class TestOptimality:
             candidate = StaircaseCurve(xs[chosen], ys[chosen])
             area = staircase_area_between(exact, candidate)
             assert result.error <= area + 1e-6
+
+
+def stamped_corners(
+    seed: int, n: int, decimals: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """~``n`` distinct timestamps rounded to ``decimals`` places, each one
+    a unit step of the cumulative curve."""
+    rng = np.random.default_rng(seed)
+    span = 5000.0 if decimals == 0 else 500.0
+    xs = np.unique(np.sort(rng.uniform(0.0, span, size=n)).round(decimals))
+    return xs, np.arange(1.0, xs.size + 1.0)
+
+
+class TestConvexHullTrickOracle:
+    """The refinement sweep against the independent CHT engine at buffer
+    scale.  Only the errors are compared: on ties the two engines may
+    pick different (equally optimal) corners."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("eta", [4, 9, 25, 60])
+    def test_integer_timestamps_match_exactly(self, seed, eta):
+        xs, ys = stamped_corners(seed, 400, decimals=0)
+        fast = approximate_staircase(xs, ys, eta)
+        oracle = approximate_staircase_cht(xs, ys, eta)
+        # Integer inputs keep every candidate exact, so any optimal
+        # selection reports the same error bit for bit.
+        assert fast.error == oracle.error
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("eta", [4, 9, 25, 60])
+    def test_decimal_timestamps_match_to_rounding(self, seed, eta):
+        xs, ys = stamped_corners(seed, 400, decimals=1)
+        fast = approximate_staircase(xs, ys, eta)
+        oracle = approximate_staircase_cht(xs, ys, eta)
+        # The engines associate the float sums differently, so inexact
+        # timestamps may differ in the last bits.
+        assert fast.error == pytest.approx(oracle.error, rel=1e-12)
 
 
 class TestStructure:
