@@ -1,10 +1,13 @@
 """Scalar-vs-batched historical read benchmark (BENCH_query.json).
 
-PR 1 gave the write side a vectorized batch path; this suite measures
-the read side: every registered backend answers the same point-query
+The write side has a vectorized batch path; this suite measures the
+read side: every registered backend answers the same point-query
 workload twice — once as a scalar ``point_query`` loop, once through
 ``point_query_batch`` — and the results must be bit-identical before
-any timing is reported.
+any timing is reported.  A second table does the same for the bursty
+time query: the scalar per-breakpoint reference in
+``tests/oracles/breakpoint_scan.py`` against the store's batched
+breakpoint scan, on the most-mentioned events.
 
 Run standalone (no pytest needed)::
 
@@ -12,8 +15,9 @@ Run standalone (no pytest needed)::
 
 ``--smoke`` shrinks the workload and query counts for a CI run;
 ``--check`` exits nonzero if the batched path ever diverges from the
-scalar loop or the CM-PBE grids fall below the vectorization floor at
-10k+ queries.
+scalar loop, the CM-PBE grids fall below the vectorization floor at
+10k+ queries, or their bursty-time scan is less than
+``SCAN_FLOOR`` times faster than the in-run scalar reference.
 
 The batched wins are structural, not incidental: one ``searchsorted``
 over each PBE's corners replaces a bisect per query, the CM-PBE row
@@ -32,10 +36,13 @@ from pathlib import Path
 
 import numpy as np
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+
 from repro.core.metrics import global_registry
 from repro.core.store import create_store
 from repro.workloads.olympics import make_olympicrio
 from repro.workloads.profiles import DAY
+from tests.oracles.breakpoint_scan import store_bursty_times
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -72,6 +79,12 @@ BACKENDS: list[tuple[str, str, dict]] = [
 VECTORIZED_FLOOR = 5.0
 VECTORIZED_AT = 10_000
 VECTORIZED_LABELS = {"cm-pbe-1", "cm-pbe-2"}
+
+#: The batched bursty-time scan must beat the scalar per-breakpoint
+#: reference by this multiple on the VECTORIZED_LABELS grids.
+SCAN_FLOOR = 10.0
+#: Bursty-time queries per backend: the most-mentioned events.
+SCAN_EVENTS = 8
 
 FULL_SIZES = [1_000, 10_000, 100_000]
 SMOKE_SIZES = [500, 2_000]
@@ -116,11 +129,21 @@ def run_query_comparison(
         for n in sizes
     }
 
+    counts = np.bincount(ids_column, minlength=UNIVERSE)
+    scan_events = np.argsort(-counts, kind="stable")[:SCAN_EVENTS].tolist()
+    # theta at 2% of the event's volume: bursts exist but do not cover
+    # the whole history.
+    scan_thetas = [max(1.0, counts[e] / 50.0) for e in scan_events]
+
     rows = []
+    scan_rows = []
     for label, backend, cfg in BACKENDS:
         store = create_store(backend, **cfg)
         store.extend_batch(ids_column, ts_column)
         store.finalize()
+        scan_rows.append(
+            _bursty_time_row(label, store, scan_events, scan_thetas, tau)
+        )
         for n in sizes:
             query_ids, query_ts = workloads[n]
             id_list = query_ids.tolist()
@@ -166,6 +189,7 @@ def run_query_comparison(
         },
         "rows": rows,
         "max_speedup": max(r["speedup"] for r in rows),
+        "bursty_time_rows": scan_rows,
         # Operational counters accumulated over the run (LRU hit rates,
         # shard fan-out latencies, ...), so a regression in the serving
         # path shows up next to the wall-clock numbers.
@@ -175,6 +199,37 @@ def run_query_comparison(
     target.parent.mkdir(exist_ok=True)
     target.write_text(json.dumps(payload, indent=2) + "\n")
     return payload
+
+
+def _bursty_time_row(label, store, events, thetas, tau) -> dict:
+    """Scalar per-breakpoint reference vs the batched scan, timed."""
+    end = store.t_end + 2 * tau
+    knots = sum(len(store.segment_starts(event_id)) for event_id in events)
+
+    def scalar():
+        return [
+            store_bursty_times(store, event_id, theta, tau, end)
+            for event_id, theta in zip(events, thetas)
+        ]
+
+    def batch():
+        return [
+            store.bursty_time_query(event_id, theta, tau)
+            for event_id, theta in zip(events, thetas)
+        ]
+
+    identical = scalar() == batch()
+    scalar_s = _best_seconds(scalar, 2)
+    batch_s = _best_seconds(batch, 3)
+    return {
+        "backend": label,
+        "n_queries": len(events),
+        "knots": knots,
+        "identical": identical,
+        "scalar_seconds": scalar_s,
+        "batch_seconds": batch_s,
+        "speedup": scalar_s / batch_s,
+    }
 
 
 def check_query_results(payload: dict) -> list[str]:
@@ -192,6 +247,18 @@ def check_query_results(payload: dict) -> list[str]:
             failures.append(
                 f"{tag}: below {VECTORIZED_FLOOR:.0f}x vectorization "
                 f"floor (got {row['speedup']:.2f}x)"
+            )
+    for row in payload["bursty_time_rows"]:
+        tag = f"{row['backend']} bursty-time"
+        if not row["identical"]:
+            failures.append(f"{tag}: batched scan differs from scalar")
+        if (
+            row["backend"] in VECTORIZED_LABELS
+            and row["speedup"] < SCAN_FLOOR
+        ):
+            failures.append(
+                f"{tag}: below {SCAN_FLOOR:.0f}x over the scalar "
+                f"reference (got {row['speedup']:.2f}x)"
             )
     return failures
 
@@ -225,7 +292,19 @@ def main(argv: list[str] | None = None) -> int:
             f"{row['batch_queries_per_s']:>13,.0f} "
             f"{row['speedup']:>7.2f}x {str(row['identical']):>10}"
         )
-    print(f"\nmax speedup: {payload['max_speedup']:.1f}x")
+    print(f"\nmax speedup: {payload['max_speedup']:.1f}x\n")
+    header = (
+        f"{'bursty-time scan':<20} {'queries':>8} {'scalar s':>10} "
+        f"{'batch s':>10} {'speedup':>8} {'identical':>10}"
+    )
+    print(header)
+    print("-" * len(header))
+    for row in payload["bursty_time_rows"]:
+        print(
+            f"{row['backend']:<20} {row['n_queries']:>8} "
+            f"{row['scalar_seconds']:>10.4f} {row['batch_seconds']:>10.4f} "
+            f"{row['speedup']:>7.1f}x {str(row['identical']):>10}"
+        )
     if args.check:
         failures = check_query_results(payload)
         for failure in failures:

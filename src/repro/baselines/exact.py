@@ -4,8 +4,8 @@ Stores every event's full timestamp list and answers all three query types
 exactly via binary search:
 
 * point query — ``O(log n)``,
-* bursty time query — evaluated at the ``O(n)`` breakpoints of the
-  piecewise-constant burstiness function,
+* bursty time query — one batched evaluation at the ``O(n)``
+  breakpoints of the piecewise-constant burstiness function,
 * bursty event query — one point query per seen event id.
 
 Space is ``O(n)`` — the cost the PBE sketches avoid.  The baseline doubles
@@ -28,6 +28,7 @@ from repro.core.errors import (
     require_count,
     require_tau,
 )
+from repro.core.queries import _scan_bursty_times
 from repro.streams.events import EventStream
 
 __all__ = ["ExactBurstStore"]
@@ -120,33 +121,23 @@ class ExactBurstStore:
 
         ``b_e`` is a right-continuous step function whose value changes only
         where ``t``, ``t - tau`` or ``t - 2 tau`` crosses an occurrence,
-        so evaluating at those breakpoints suffices.
+        so one batched evaluation at those breakpoints suffices.
         """
         require_tau(tau)
         times = self._timestamps.get(int(event_id), [])
         if not times:
             return []
-        end = t_end if t_end is not None else times[-1] + 2 * tau
-        candidates = sorted(
-            {
-                c
-                for t in times
-                for c in (t, t + tau, t + 2 * tau)
-                if c <= end
-            }
+        return _scan_bursty_times(
+            lambda points: self.burstiness_many(
+                np.full(points.size, event_id, dtype=np.int64), points, tau
+            ),
+            times,
+            theta,
+            tau,
+            t_end if t_end is not None else times[-1] + 2 * tau,
+            "constant",
+            0.0,
         )
-        intervals: list[tuple[float, float]] = []
-        open_start: float | None = None
-        for candidate in candidates:
-            value = self.burstiness(event_id, candidate, tau)
-            if value >= theta and open_start is None:
-                open_start = candidate
-            elif value < theta and open_start is not None:
-                intervals.append((open_start, candidate))
-                open_start = None
-        if open_start is not None:
-            intervals.append((open_start, end))
-        return intervals
 
     def bursty_events(
         self, t: float, theta: float, tau: float

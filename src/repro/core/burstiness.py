@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.errors import InvalidParameterError
+from repro.core.errors import require_tau
 from repro.streams.frequency import CumulativeCurve, StaircaseCurve
 
 __all__ = [
@@ -28,13 +28,13 @@ __all__ = [
 
 def burst_frequency(curve: CumulativeCurve, t: float, tau: float) -> float:
     """Incoming rate ``bf(t) = F(t) - F(t - tau)``."""
-    _check_tau(tau)
+    require_tau(tau)
     return curve.value(t) - curve.value(t - tau)
 
 
 def burstiness(curve: CumulativeCurve, t: float, tau: float) -> float:
     """Burstiness ``b(t) = F(t) - 2 F(t - tau) + F(t - 2 tau)``."""
-    _check_tau(tau)
+    require_tau(tau)
     return (
         curve.value(t) - 2.0 * curve.value(t - tau) + curve.value(t - 2 * tau)
     )
@@ -44,7 +44,7 @@ def incoming_rate_series(
     curve: CumulativeCurve, times: np.ndarray, tau: float
 ) -> np.ndarray:
     """``bf(t)`` evaluated at every entry of ``times``."""
-    _check_tau(tau)
+    require_tau(tau)
     times = np.asarray(times, dtype=np.float64)
     if isinstance(curve, StaircaseCurve):
         return curve.values(times) - curve.values(times - tau)
@@ -57,7 +57,7 @@ def burstiness_series(
     curve: CumulativeCurve, times: np.ndarray, tau: float
 ) -> np.ndarray:
     """``b(t)`` evaluated at every entry of ``times``."""
-    _check_tau(tau)
+    require_tau(tau)
     times = np.asarray(times, dtype=np.float64)
     if isinstance(curve, StaircaseCurve):
         return (
@@ -66,8 +66,3 @@ def burstiness_series(
             + curve.values(times - 2 * tau)
         )
     return np.array([burstiness(curve, t, tau) for t in times])
-
-
-def _check_tau(tau: float) -> None:
-    if tau <= 0:
-        raise InvalidParameterError(f"burst span tau must be > 0, got {tau}")

@@ -414,10 +414,12 @@ class CMPBE:
         """Union of the knot times of every cell the event hashes into.
 
         The per-event estimate can only change at these instants, so
-        bursty-time queries need point queries only there (§V).
+        bursty-time queries need point queries only there (§V).  The
+        columns come through the LRU, so the scan's batched evaluation
+        that follows reuses them.
         """
         knots: set[float] = set()
-        for row, column in enumerate(self._hashes.hash_all(event_id)):
+        for row, column in enumerate(self._hash_columns(event_id)):
             cell = self._cells[row][column]
             knots.update(cell.segment_starts())  # type: ignore[attr-defined]
         return sorted(knots)

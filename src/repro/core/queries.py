@@ -6,14 +6,23 @@ This module provides
   approximate curve (paper §V): the burstiness of a staircase or PLA
   approximation can only change at segment boundaries (and their ``tau``
   shifts), so point queries at those breakpoints suffice,
+* :func:`max_burstiness` — the range-peak variant over the same
+  breakpoints,
 * :class:`HistoricalBurstAnalyzer` — the user-facing facade that unifies
   the exact baseline and the CM-PBE-1 / CM-PBE-2 sketches behind the three
   query types of §II-A.
+
+Both curve helpers and every store's bursty-time and peak query run one
+breakpoint scan: the breakpoints are built with numpy, every burstiness
+value they need comes from one vectorized evaluation, and the intervals
+(or the peak) are extracted without a per-breakpoint loop.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Literal
+from typing import Callable, Iterable, Literal
+
+import numpy as np
 
 from repro.core.dyadic import BurstyEvent
 from repro.core.errors import (
@@ -21,13 +30,17 @@ from repro.core.errors import (
     require_tau,
     require_time_range,
 )
-from repro.streams.frequency import CumulativeCurve, burstiness_from_curve
+from repro.core.tracing import span
+from repro.streams.frequency import CumulativeCurve
 
 __all__ = [
     "bursty_time_intervals",
     "max_burstiness",
     "HistoricalBurstAnalyzer",
 ]
+
+#: Maps an array of query times to the burstiness estimate at each.
+Evaluator = Callable[[np.ndarray], np.ndarray]
 
 
 def max_burstiness(
@@ -48,26 +61,9 @@ def max_burstiness(
 
     Returns ``(t_star, b_star)``; raises if the range is empty.
     """
-    require_tau(tau)
-    require_time_range(t_start, t_end)
-    candidates = {t_start, t_end}
-    for knot in knots:
-        for shifted in (knot, knot + tau, knot + 2 * tau):
-            if t_start <= shifted <= t_end:
-                candidates.add(shifted)
-            if piecewise == "linear":
-                # Sample just inside each breakpoint: pieces may jump.
-                before = shifted - 1e-9
-                if t_start <= before <= t_end:
-                    candidates.add(before)
-    best_t = t_start
-    best_value = float("-inf")
-    for t in sorted(candidates):
-        value = burstiness_from_curve(curve, t, tau)
-        if value > best_value:
-            best_value = value
-            best_t = t
-    return best_t, best_value
+    return _scan_peak(
+        _curve_evaluator(curve, tau), knots, tau, t_start, t_end, piecewise
+    )
 
 
 def bursty_time_intervals(
@@ -84,7 +80,8 @@ def bursty_time_intervals(
     Parameters
     ----------
     curve:
-        Any cumulative-curve estimator.
+        Any cumulative-curve estimator.  Read through ``value_many``
+        when the curve has one, through ``value`` otherwise.
     knots:
         Times where the curve's behaviour can change (corner times for
         staircases, segment boundaries for PLAs).  Breakpoints of the
@@ -100,100 +97,174 @@ def bursty_time_intervals(
         to suppress sliver gaps where the estimate briefly dips below
         ``theta`` at a breakpoint).
     """
-    require_tau(tau)
-    knot_list = sorted(knots)
-    if not knot_list:
-        return []
-    breakpoints = sorted(
-        {
-            shifted
-            for knot in knot_list
-            for shifted in (knot, knot + tau, knot + 2 * tau)
-            if shifted <= t_end
-        }
+    return _scan_bursty_times(
+        _curve_evaluator(curve, tau),
+        knots,
+        theta,
+        tau,
+        t_end,
+        piecewise,
+        merge_gap,
     )
-    if not breakpoints:
-        return []
-    if breakpoints[-1] < t_end:
-        breakpoints.append(t_end)
-    if piecewise == "constant":
-        raw = _constant_intervals(curve, breakpoints, theta, tau, t_end)
-    elif piecewise == "linear":
-        raw = _linear_intervals(curve, breakpoints, theta, tau)
-    else:
+
+
+def _curve_evaluator(curve: CumulativeCurve, tau: float) -> Evaluator:
+    """``b(t) = F(t) - 2 F(t - tau) + F(t - 2 tau)`` over an array of
+    times, with the association of
+    :func:`~repro.streams.frequency.burstiness_from_curve`."""
+    value_many = getattr(curve, "value_many", None)
+
+    def evaluate(times: np.ndarray) -> np.ndarray:
+        n = times.size
+        lagged = np.concatenate((times, times - tau, times - 2 * tau))
+        if value_many is not None:
+            values = np.asarray(value_many(lagged), dtype=np.float64)
+        else:
+            values = np.array(
+                [curve.value(t) for t in lagged.tolist()], dtype=np.float64
+            )
+        return values[:n] - 2.0 * values[n : 2 * n] + values[2 * n :]
+
+    return evaluate
+
+
+# ----------------------------------------------------------------------
+# The breakpoint scan
+# ----------------------------------------------------------------------
+def _require_piecewise(piecewise: str) -> None:
+    if piecewise not in ("constant", "linear"):
         raise InvalidParameterError(
             f"piecewise must be 'constant' or 'linear', got {piecewise!r}"
         )
-    return _merge_intervals(raw, merge_gap)
 
 
-def _constant_intervals(
-    curve: CumulativeCurve,
-    breakpoints: list[float],
+def _shifted_knots(knots: Iterable[float], tau: float) -> np.ndarray:
+    """Every knot with its ``tau`` and ``2 tau`` shifts (unsorted)."""
+    k = np.fromiter(knots, dtype=np.float64)
+    return np.concatenate((k, k + tau, k + 2 * tau))
+
+
+def _scan_bursty_times(
+    evaluate: Evaluator,
+    knots: Iterable[float],
     theta: float,
     tau: float,
     t_end: float,
+    piecewise: Literal["constant", "linear"],
+    merge_gap: float,
 ) -> list[tuple[float, float]]:
-    intervals: list[tuple[float, float]] = []
-    open_start: float | None = None
-    for point in breakpoints:
-        value = burstiness_from_curve(curve, point, tau)
-        if value >= theta and open_start is None:
-            open_start = point
-        elif value < theta and open_start is not None:
-            intervals.append((open_start, point))
-            open_start = None
-    if open_start is not None:
-        intervals.append((open_start, t_end))
-    return intervals
+    """Maximal intervals where ``evaluate(t) >= theta`` (the bursty time
+    query); ``evaluate`` is called once, on every sample the scan needs.
 
-
-def _linear_intervals(
-    curve: CumulativeCurve,
-    breakpoints: list[float],
-    theta: float,
-    tau: float,
-) -> list[tuple[float, float]]:
-    intervals: list[tuple[float, float]] = []
-    for left, right in zip(breakpoints, breakpoints[1:]):
-        width = right - left
-        if width <= 0:
-            continue
-        # Sample just inside the piece: the function may jump at the
-        # breakpoints themselves.
-        inner = min(width * 1e-9, 1e-9)
-        lo_t = left + inner
-        hi_t = right - inner
-        b_lo = burstiness_from_curve(curve, lo_t, tau)
-        b_hi = burstiness_from_curve(curve, hi_t, tau)
-        if b_lo >= theta and b_hi >= theta:
-            intervals.append((left, right))
-        elif b_lo >= theta or b_hi >= theta:
-            if b_hi == b_lo:
-                crossing = left if b_lo >= theta else right
-            else:
-                fraction = (theta - b_lo) / (b_hi - b_lo)
-                crossing = left + min(max(fraction, 0.0), 1.0) * width
-            if b_lo >= theta:
-                intervals.append((left, crossing))
-            else:
-                intervals.append((crossing, right))
-    return intervals
-
-
-def _merge_intervals(
-    intervals: list[tuple[float, float]],
-    merge_gap: float = 0.0,
-) -> list[tuple[float, float]]:
-    merged: list[tuple[float, float]] = []
-    for start, end in sorted(intervals):
-        if end <= start:
-            continue
-        if merged and start <= merged[-1][1] + merge_gap:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], end))
+    ``theta`` may be negative but not NaN: a NaN threshold would compare
+    false everywhere and silently answer ``[]``.
+    """
+    require_tau(tau)
+    if theta != theta:
+        raise InvalidParameterError("theta must be a number, got nan")
+    _require_piecewise(piecewise)
+    with span(
+        "query.breakpoint_scan", op="bursty_time", piecewise=piecewise
+    ) as scan:
+        shifted = _shifted_knots(knots, tau)
+        points = np.unique(shifted[shifted <= t_end])
+        if points.size and points[-1] < t_end:
+            points = np.append(points, t_end)
+        scan.set_attribute("breakpoints", int(points.size))
+        if points.size == 0:
+            return []
+        if piecewise == "constant":
+            starts, ends = _constant_runs(evaluate(points), points, theta)
         else:
-            merged.append((start, end))
-    return merged
+            starts, ends = _linear_runs(evaluate, points, theta)
+        return _merge_runs(starts, ends, merge_gap)
+
+
+def _constant_runs(
+    values: np.ndarray, points: np.ndarray, theta: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Step function: a run opens at each breakpoint where the value
+    rises to ``theta`` and closes at the next one where it falls below;
+    a run still open at the last breakpoint (``t_end``) closes there."""
+    above = values >= theta
+    before = np.concatenate(([False], above[:-1]))
+    starts = points[above & ~before]
+    ends = points[~above & before]
+    if above[-1]:
+        ends = np.append(ends, points[-1])
+    return starts, ends
+
+
+def _linear_runs(
+    evaluate: Evaluator, points: np.ndarray, theta: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Piecewise-linear function: each piece between breakpoints is
+    sampled just inside both ends (the function may jump at the
+    breakpoints themselves) and its threshold crossing interpolated."""
+    left, right = points[:-1], points[1:]
+    width = right - left
+    inner = np.minimum(width * 1e-9, 1e-9)
+    samples = evaluate(np.concatenate((left + inner, right - inner)))
+    b_lo, b_hi = samples[: left.size], samples[left.size :]
+    lo_up = b_lo >= theta
+    hi_up = b_hi >= theta
+    crossing = left.copy()
+    one = lo_up != hi_up
+    if one.any():
+        fraction = (theta - b_lo[one]) / (b_hi[one] - b_lo[one])
+        crossing[one] = left[one] + np.clip(fraction, 0.0, 1.0) * width[one]
+    kept = lo_up | hi_up
+    starts = np.where(lo_up, left, crossing)[kept]
+    ends = np.where(hi_up, right, crossing)[kept]
+    return starts, ends
+
+
+def _merge_runs(
+    starts: np.ndarray, ends: np.ndarray, merge_gap: float
+) -> list[tuple[float, float]]:
+    """Sort runs, drop empty ones and coalesce runs that touch or sit
+    within ``merge_gap`` of the running end."""
+    order = np.lexsort((ends, starts))
+    starts, ends = starts[order], ends[order]
+    nonempty = ends > starts
+    starts, ends = starts[nonempty], ends[nonempty]
+    if starts.size == 0:
+        return []
+    # With merge_gap >= 0 a new merged run starts past every earlier
+    # end, so the running maximum is the end of the run being merged.
+    reach = np.maximum.accumulate(ends)
+    opens = np.empty(starts.size, dtype=bool)
+    opens[0] = True
+    opens[1:] = starts[1:] > reach[:-1] + merge_gap
+    closes = np.append(np.flatnonzero(opens)[1:] - 1, starts.size - 1)
+    return list(zip(starts[opens].tolist(), reach[closes].tolist()))
+
+
+def _scan_peak(
+    evaluate: Evaluator,
+    knots: Iterable[float],
+    tau: float,
+    t_start: float,
+    t_end: float,
+    piecewise: Literal["constant", "linear"],
+) -> tuple[float, float]:
+    """``(t_star, b_star)``: the first breakpoint of ``[t_start, t_end]``
+    where ``evaluate`` peaks (the range-peak query)."""
+    require_tau(tau)
+    require_time_range(t_start, t_end)
+    _require_piecewise(piecewise)
+    with span("query.breakpoint_scan", op="peak", piecewise=piecewise) as scan:
+        shifted = _shifted_knots(knots, tau)
+        candidates = [np.array([t_start, t_end], dtype=np.float64), shifted]
+        if piecewise == "linear":
+            # Sample just inside each breakpoint: pieces may jump.
+            candidates.append(shifted - 1e-9)
+        points = np.concatenate(candidates)
+        points = np.unique(points[(t_start <= points) & (points <= t_end)])
+        scan.set_attribute("breakpoints", int(points.size))
+        values = evaluate(points)
+        best = int(np.argmax(values))
+        return float(points[best]), float(values[best])
 
 
 class HistoricalBurstAnalyzer:

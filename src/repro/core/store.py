@@ -54,7 +54,6 @@ from repro.core.errors import (
     UnknownBackendError,
     require_tau,
     require_theta,
-    require_time_range,
 )
 from repro.core.metrics import InstrumentedStore, global_registry
 from repro.core.parallel import merge_pbe1, merge_pbe2
@@ -62,11 +61,7 @@ from repro.core.tracing import set_tracer as _set_tracer
 from repro.core.tracing import span as _trace_span
 from repro.core.pbe1 import PBE1
 from repro.core.pbe2 import PBE2
-from repro.core.queries import (
-    _merge_intervals,
-    bursty_time_intervals,
-    max_burstiness,
-)
+from repro.core.queries import _scan_bursty_times, _scan_peak
 from repro.streams.frequency import burstiness_from_curve
 
 __all__ = [
@@ -330,6 +325,22 @@ def _canonical_hits(hits: list[BurstyEvent]) -> list[BurstyEvent]:
     return sorted(hits, key=lambda hit: (-hit.burstiness, hit.event_id))
 
 
+def _scan_universe(
+    sketch, ids: np.ndarray, t: float, theta: float, tau: float
+) -> list[BurstyEvent]:
+    """Flat bursty event scan: every id's ``b_e(t)`` in one batch."""
+    values = sketch.burstiness_many(
+        ids, np.full(ids.size, t, dtype=np.float64), tau
+    )
+    hot = values >= theta
+    return _canonical_hits(
+        [
+            BurstyEvent(event_id, value)
+            for event_id, value in zip(ids[hot].tolist(), values[hot].tolist())
+        ]
+    )
+
+
 class _CurveView:
     """Adapter exposing a store's per-event estimate as a cumulative curve."""
 
@@ -428,35 +439,46 @@ class _StoreBase:
         piecewise: Literal["constant", "linear"] | None = None,
     ) -> list[tuple[float, float]]:
         """BURSTY TIME QUERY ``q(e, theta, tau)`` → maximal intervals with
-        ``b_e(t) >= theta``."""
+        ``b_e(t) >= theta``.
+
+        One breakpoint scan over the event's knots, fed by a single
+        :meth:`point_query_batch` call.
+        """
         require_tau(tau)
         knots = self.segment_starts(event_id)
         if not knots:
             return []
-        end = self._resolve_t_end(t_end, tau, knots)
-        return bursty_time_intervals(
-            self.curve(event_id),
+        return _scan_bursty_times(
+            self._burstiness_of(event_id, tau),
             knots,
             theta,
             tau,
-            t_end=end,
-            piecewise=piecewise if piecewise is not None else self.piecewise,
-            merge_gap=merge_gap,
+            self._resolve_t_end(t_end, tau, knots),
+            piecewise if piecewise is not None else self.piecewise,
+            merge_gap,
         )
 
     def peak_query(
         self, event_id: int, t_start: float, t_end: float, tau: float
     ) -> tuple[float, float]:
         """``(t_star, b_star)``: the event's burstiest moment in a range."""
-        require_time_range(t_start, t_end)
-        return max_burstiness(
-            self.curve(event_id),
+        return _scan_peak(
+            self._burstiness_of(event_id, tau),
             self.segment_starts(event_id),
             tau,
             t_start,
             t_end,
-            piecewise=self.piecewise,
+            self.piecewise,
         )
+
+    def _burstiness_of(self, event_id: int, tau: float):
+        """One event's ``b_e`` over an array of times, as one batch."""
+
+        def evaluate(times: np.ndarray) -> np.ndarray:
+            ids = np.full(times.size, event_id, dtype=np.int64)
+            return self.point_query_batch(ids, times, tau)
+
+        return evaluate
 
     def curve(self, event_id: int) -> _CurveView:
         """A cumulative-curve view of one event's estimate."""
@@ -604,28 +626,16 @@ class ExactStore(_StoreBase):
     ) -> list[tuple[float, float]]:
         # The exact burstiness is genuinely a step function, so any
         # requested ``piecewise`` mode degenerates to breakpoint scans.
-        require_tau(tau)
-        end = t_end if t_end is not None else self._t_end + 2 * tau
-        intervals = self.inner.bursty_times(event_id, theta, tau, t_end=end)
-        if merge_gap > 0.0:
-            intervals = _merge_intervals(intervals, merge_gap)
-        return intervals
+        return super().bursty_time_query(
+            event_id, theta, tau,
+            t_end=t_end, merge_gap=merge_gap, piecewise="constant",
+        )
 
     def bursty_event_query(
         self, t: float, theta: float, tau: float
     ) -> list[BurstyEvent]:
         require_theta(theta)
         return _canonical_hits(self.inner.bursty_events(t, theta, tau))
-
-    def peak_query(
-        self, event_id: int, t_start: float, t_end: float, tau: float
-    ) -> tuple[float, float]:
-        require_time_range(t_start, t_end)
-        times = self.inner.timestamps_of(event_id)
-        knots = [x for x in times if t_start - 2 * tau <= x <= t_end]
-        return max_burstiness(
-            self.curve(event_id), knots, tau, t_start, t_end
-        )
 
     def segment_starts(self, event_id: int) -> list[float]:
         return sorted(set(self.inner.timestamps_of(event_id)))
@@ -806,12 +816,10 @@ class CMPBEStore(_StoreBase):
                 "universe; configure universe_size (or use the 'index' "
                 "backend)"
             )
-        hits = []
-        for event_id in range(self.universe_size):
-            value = self.inner.burstiness(event_id, t, tau)
-            if value >= theta:
-                hits.append(BurstyEvent(event_id, value))
-        return _canonical_hits(hits)
+        return _scan_universe(
+            self.inner, np.arange(self.universe_size, dtype=np.int64),
+            t, theta, tau,
+        )
 
     def segment_starts(self, event_id: int) -> list[float]:
         return self.inner.segment_starts(event_id)
@@ -990,12 +998,10 @@ class DirectMapStore(_StoreBase):
         self, t: float, theta: float, tau: float
     ) -> list[BurstyEvent]:
         require_theta(theta)
-        hits = []
-        for event_id in sorted(self.inner._cells):
-            value = self.inner.burstiness(event_id, t, tau)
-            if value >= theta:
-                hits.append(BurstyEvent(int(event_id), value))
-        return _canonical_hits(hits)
+        return _scan_universe(
+            self.inner, np.array(sorted(self.inner._cells), dtype=np.int64),
+            t, theta, tau,
+        )
 
     def segment_starts(self, event_id: int) -> list[float]:
         return self.inner.segment_starts(event_id)

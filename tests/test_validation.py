@@ -2,12 +2,23 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.cmpbe import CMPBE, DirectPBEMap
-from repro.core.errors import InvalidParameterError
+from repro.core.errors import (
+    InvalidParameterError,
+    require_tau,
+    require_theta,
+    require_time_range,
+)
 from repro.core.pbe1 import PBE1
+from repro.core.queries import bursty_time_intervals, max_burstiness
+from repro.core.store import create_store
 from repro.eval.validation import validate_sketch
+from tests.backends import BACKEND_IDS, BACKEND_MATRIX
+
+NAN = float("nan")
 
 
 class TestValidateSketch:
@@ -72,3 +83,79 @@ class TestValidateSketch:
         coarse_report = validate_sketch(coarse, mixed_stream, tau=50.0)
         fine_report = validate_sketch(fine, mixed_stream, tau=50.0)
         assert fine_report.mean_abs_error <= coarse_report.mean_abs_error
+
+
+class TestNaNQueryParameters:
+    """NaN compares false both ways, so ``tau <= 0``-style checks let it
+    through; every query surface must reject it with a named error."""
+
+    def test_require_helpers_reject_nan(self):
+        with pytest.raises(InvalidParameterError, match="tau"):
+            require_tau(NAN)
+        with pytest.raises(InvalidParameterError, match="theta"):
+            require_theta(NAN)
+        with pytest.raises(InvalidParameterError, match="theta"):
+            require_theta(NAN, positive=True)
+        with pytest.raises(InvalidParameterError, match="t_end"):
+            require_time_range(NAN, 1.0)
+        with pytest.raises(InvalidParameterError, match="t_end"):
+            require_time_range(0.0, NAN)
+        assert require_tau(float("inf")) == float("inf")
+        assert require_theta(0.0) == 0.0
+
+    def test_cm_pbe_point_query_nan_tau(self):
+        # Used to answer -248.0 instead of raising.
+        store = create_store(
+            "cm-pbe-1", universe_size=8, eta=20, buffer_size=50
+        )
+        store.extend_batch(
+            np.ones(300, dtype=np.int64), np.arange(300, dtype=np.float64)
+        )
+        with pytest.raises(InvalidParameterError, match="tau"):
+            store.point_query(1, 500.0, tau=NAN)
+
+    @pytest.fixture(scope="class", params=BACKEND_MATRIX, ids=BACKEND_IDS)
+    def store(self, request, mixed_stream):
+        _, key, cfg = request.param
+        store = create_store(key, **cfg)
+        store.extend(mixed_stream)
+        store.finalize()
+        yield store
+        store.close()
+
+    def test_point_queries(self, store):
+        with pytest.raises(InvalidParameterError, match="tau"):
+            store.point_query(5, 500.0, NAN)
+        with pytest.raises(InvalidParameterError, match="tau"):
+            store.point_query_batch([5, 6], [500.0, 510.0], NAN)
+
+    def test_bursty_time_query(self, store):
+        with pytest.raises(InvalidParameterError, match="theta"):
+            store.bursty_time_query(5, NAN, 50.0)
+        with pytest.raises(InvalidParameterError, match="tau"):
+            store.bursty_time_query(5, 10.0, NAN)
+        # A negative threshold stays legal for bursty-time queries.
+        assert store.bursty_time_query(5, -1e9, 50.0)
+
+    def test_bursty_event_query(self, store):
+        with pytest.raises(InvalidParameterError, match="theta"):
+            store.bursty_event_query(500.0, NAN, 50.0)
+        with pytest.raises(InvalidParameterError, match="tau"):
+            store.bursty_event_query(500.0, 10.0, NAN)
+
+    def test_peak_query(self, store):
+        with pytest.raises(InvalidParameterError, match="tau"):
+            store.peak_query(5, 0.0, 900.0, NAN)
+        with pytest.raises(InvalidParameterError, match="t_end"):
+            store.peak_query(5, NAN, 900.0, 50.0)
+
+    def test_curve_helpers(self):
+        pbe = PBE1(eta=10, buffer_size=50)
+        for t in range(100):
+            pbe.update(float(t))
+        with pytest.raises(InvalidParameterError, match="theta"):
+            bursty_time_intervals(pbe, [1.0, 2.0], NAN, 5.0, 100.0)
+        with pytest.raises(InvalidParameterError, match="tau"):
+            bursty_time_intervals(pbe, [1.0, 2.0], 1.0, NAN, 100.0)
+        with pytest.raises(InvalidParameterError, match="tau"):
+            max_burstiness(pbe, [1.0], NAN, 0.0, 10.0)
